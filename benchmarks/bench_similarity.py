@@ -9,6 +9,10 @@ Measures and pins the plan-similarity subsystem (PR 10):
   :class:`~repro.similarity.PlanIndex`, plus the numpy-vs-list
   bit-identity check (integer-valued embeddings make cosine arithmetic
   exact, so the two paths must agree exactly, not approximately);
+* **interleaved query-then-add** — the novelty loop's access pattern: each
+  plan is queried (k=1 and k=3) and then added, on the numpy path and on
+  the list path; the answers must be identical step for step while the
+  dense matrix grows in place between queries;
 * **merge algebra** — first-wins payload merges across mismatched shard
   layouts and orders must land on identical indexes (the sharded
   campaign's handoff);
@@ -143,6 +147,39 @@ def measure_index_queries(plans, probes):
     }
 
 
+def measure_interleaved_identity(plans):
+    """Query-then-add over the same plans on both paths; answers must match."""
+
+    def run_stream(numpy_on):
+        arrays.set_numpy_enabled(numpy_on)
+        index = PlanIndex()
+        answers = []
+        started = time.perf_counter()
+        for position, plan in enumerate(plans):
+            vector = embed_plan(plan)
+            answers.append((index.query(vector, k=1), index.query(vector, k=3)))
+            index.add(f"{position:06d}-{plan.fingerprint()}", vector)
+        return answers, time.perf_counter() - started
+
+    numpy_available = arrays.numpy_available()
+    enabled = arrays.numpy_enabled()
+    try:
+        list_answers, list_seconds = run_stream(False)
+        numpy_answers, numpy_seconds = (
+            run_stream(True) if numpy_available else (list_answers, None)
+        )
+    finally:
+        arrays.set_numpy_enabled(enabled)
+    return {
+        "steps": len(plans),
+        "queries_per_step": 2,
+        "numpy_available": numpy_available,
+        "numpy_seconds": numpy_seconds,
+        "list_seconds": list_seconds,
+        "interleaved_numpy_list_identical": numpy_answers == list_answers,
+    }
+
+
 def measure_merge_identity(plans):
     """Merge thirds across shard layouts and orders; all must agree."""
     vectors = {
@@ -228,6 +265,7 @@ def collect_snapshot(quick: bool = False) -> dict:
     raws, plans, fmt = _plan_corpus(corpus_size)
     embedding = measure_embedding_determinism(raws, fmt)
     queries = measure_index_queries(plans, probes=min(len(plans), 20 if quick else 60))
+    interleaved = measure_interleaved_identity(plans)
     merges = measure_merge_identity(plans)
     campaigns = measure_campaign_modes(quick)
     return {
@@ -238,6 +276,7 @@ def collect_snapshot(quick: bool = False) -> dict:
         "numpy_available": arrays.numpy_available(),
         "embedding": embedding,
         "index_queries": queries,
+        "interleaved": interleaved,
         "merge_identity": merges,
         "campaign_modes": campaigns,
         "tracked": {
@@ -249,6 +288,9 @@ def collect_snapshot(quick: bool = False) -> dict:
             "embedding_integer_valued": embedding["integer_valued"],
             "numpy_list_identical": queries["numpy_list_identical"],
             "self_nearest_all_zero": queries["self_nearest_all_zero"],
+            "interleaved_numpy_list_identical": interleaved[
+                "interleaved_numpy_list_identical"
+            ],
             "merge_union_exact": merges["union_exact"],
             "merge_order_and_layout_independent": merges[
                 "order_and_layout_independent"

@@ -64,20 +64,35 @@ EMBEDDING_DIMENSIONS = _OPERATION_DIMS + _PROPERTY_DIMS + _SHAPE_DIMS + HISTOGRA
 
 _CACHE_KEY = f"embedding:v{EMBEDDING_VERSION}"
 
-#: blake2b bucket keys are content-stable; memoise them per label so the
-#: hot path (one embedding per observed plan) hashes each vocabulary name
-#: once per process.
-_BUCKET_CACHE: Dict[str, int] = {}
+#: Feature position of every operation and property category.
+_CATEGORY_POSITION = {
+    **{category: position for position, category in enumerate(OPERATION_CATEGORY_ORDER)},
+    **{
+        category: _OPERATION_DIMS + position
+        for position, category in enumerate(PROPERTY_CATEGORY_ORDER)
+    },
+}
+_SHAPE_BASE = _OPERATION_DIMS + _PROPERTY_DIMS
+_HISTOGRAM_BASE = _SHAPE_BASE + _SHAPE_DIMS
+
+#: Histogram feature position per ``(category, raw identifier)``.  The
+#: blake2b bucket keys are content-stable, so the hot path (one embedding
+#: per observed plan) strips, interns and hashes each vocabulary name once
+#: per process.
+_BUCKET_CACHE: Dict[Tuple[object, str], int] = {}
 
 
-def _histogram_bucket(label: str) -> int:
-    bucket = _BUCKET_CACHE.get(label)
-    if bucket is None:
+def _histogram_position(operation) -> int:
+    key = (operation.category, operation.identifier)
+    position = _BUCKET_CACHE.get(key)
+    if position is None:
+        name = intern_identifier(strip_unstable_suffix(operation.identifier))
+        label = operation.category.value + "->" + name
         digest = hashlib.blake2b(label.encode("utf-8"), digest_size=4).hexdigest()
-        bucket = int(digest, 16) % HISTOGRAM_BUCKETS
+        position = _HISTOGRAM_BASE + int(digest, 16) % HISTOGRAM_BUCKETS
         if len(_BUCKET_CACHE) < 65536:  # mirror the identifier pool's bound
-            _BUCKET_CACHE[label] = bucket
-    return bucket
+            _BUCKET_CACHE[key] = position
+    return position
 
 
 def embed_plan(plan: UnifiedPlan) -> Tuple[float, ...]:
@@ -85,40 +100,43 @@ def embed_plan(plan: UnifiedPlan) -> Tuple[float, ...]:
 
     The vector is cached on the plan (see module docstring); plans must be
     treated as frozen once embedded, exactly like fingerprinted plans.
+    One iterative walk over the tree fills every feature; each is a count,
+    so the visiting order cannot change a bit of the result.
     """
     cached = plan.content_cache_get(_CACHE_KEY)
     if cached is not None:
         return cached
     features = [0.0] * EMBEDDING_DIMENSIONS
-
-    category_counts = plan.count_categories()
-    for position, category in enumerate(OPERATION_CATEGORY_ORDER):
-        features[position] = float(category_counts[category])
-
-    property_counts = plan.count_property_categories()
-    for position, category in enumerate(PROPERTY_CATEGORY_ORDER):
-        features[_OPERATION_DIMS + position] = float(property_counts[category])
-
-    nodes = plan.nodes()
-    leaf_count = 0
-    max_fanout = 0
-    shape_base = _OPERATION_DIMS + _PROPERTY_DIMS
-    histogram_base = shape_base + _SHAPE_DIMS
-    for node in nodes:
-        fanout = len(node.children)
+    category_position = _CATEGORY_POSITION
+    histogram_position = _histogram_position
+    for prop in plan.properties:
+        features[category_position[prop.category]] += 1.0
+    node_count = leaf_count = max_fanout = depth = 0
+    stack = [] if plan.root is None else [(plan.root, 1)]
+    while stack:
+        node, level = stack.pop()
+        node_count += 1
+        if level > depth:
+            depth = level
+        children = node.children
+        fanout = len(children)
         if fanout == 0:
             leaf_count += 1
-        elif fanout > max_fanout:
-            max_fanout = fanout
+        else:
+            if fanout > max_fanout:
+                max_fanout = fanout
+            for child in children:
+                stack.append((child, level + 1))
         operation = node.operation
-        name = intern_identifier(strip_unstable_suffix(operation.identifier))
-        label = operation.category.value + "->" + name
-        features[histogram_base + _histogram_bucket(label)] += 1.0
-    features[shape_base] = float(len(nodes))
-    features[shape_base + 1] = float(plan.depth())
-    features[shape_base + 2] = float(leaf_count)
-    features[shape_base + 3] = float(max_fanout)
-    features[shape_base + 4] = float(len(nodes) - leaf_count)
+        features[category_position[operation.category]] += 1.0
+        for prop in node.properties:
+            features[category_position[prop.category]] += 1.0
+        features[histogram_position(operation)] += 1.0
+    features[_SHAPE_BASE] = float(node_count)
+    features[_SHAPE_BASE + 1] = float(depth)
+    features[_SHAPE_BASE + 2] = float(leaf_count)
+    features[_SHAPE_BASE + 3] = float(max_fanout)
+    features[_SHAPE_BASE + 4] = float(node_count - leaf_count)
 
     vector = tuple(features)
     plan.content_cache_put(_CACHE_KEY, vector)

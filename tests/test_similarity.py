@@ -11,18 +11,23 @@ Pins the subsystem's four contracts:
   the pre-similarity behaviour whether trigger-plan capture is on or off.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from repro.core import (
+    OPERATION_CATEGORY_ORDER,
+    PROPERTY_CATEGORY_ORDER,
     OperationCategory,
     PlanBuilder,
     PropertyCategory,
+    UnifiedPlan,
     plan_distance,
     structural_fingerprint,
 )
+from repro.core.compare import strip_unstable_suffix
 from repro.engine import arrays
 from repro.parallel import ShardedCampaign
 from repro.similarity import (
@@ -34,7 +39,13 @@ from repro.similarity import (
     cosine_distance,
     embed_plan,
 )
-from repro.similarity.embedding import _OPERATION_DIMS, _PROPERTY_DIMS
+from repro.similarity.embedding import (
+    _OPERATION_DIMS,
+    _PROPERTY_DIMS,
+    _SHAPE_DIMS,
+    HISTOGRAM_BUCKETS,
+)
+from repro.similarity.index import _INITIAL_CAPACITY
 from repro.testing import BugReport, TestingCampaign
 from repro.testing.qpg import QPGConfig, QueryPlanGuidance
 
@@ -67,6 +78,48 @@ def numpy_toggle():
         arrays.set_numpy_enabled(enabled)
 
 
+def reference_embedding(plan):
+    """The embedding formula written over the public plan counters.
+
+    ``embed_plan`` fills every feature in one walk; this spells the same
+    features out one counter at a time, as the layout is documented.
+    """
+    features = [0.0] * EMBEDDING_DIMENSIONS
+    category_counts = plan.count_categories()
+    for position, category in enumerate(OPERATION_CATEGORY_ORDER):
+        features[position] = float(category_counts[category])
+    property_counts = plan.count_property_categories()
+    for position, category in enumerate(PROPERTY_CATEGORY_ORDER):
+        features[_OPERATION_DIMS + position] = float(property_counts[category])
+    nodes = plan.nodes()
+    leaf_count = 0
+    max_fanout = 0
+    shape_base = _OPERATION_DIMS + _PROPERTY_DIMS
+    histogram_base = shape_base + _SHAPE_DIMS
+    for node in nodes:
+        fanout = len(node.children)
+        if fanout == 0:
+            leaf_count += 1
+        elif fanout > max_fanout:
+            max_fanout = fanout
+        operation = node.operation
+        label = operation.category.value + "->" + strip_unstable_suffix(
+            operation.identifier
+        )
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=4).hexdigest()
+        features[histogram_base + int(digest, 16) % HISTOGRAM_BUCKETS] += 1.0
+    features[shape_base] = float(len(nodes))
+    features[shape_base + 1] = float(plan.depth())
+    features[shape_base + 2] = float(leaf_count)
+    features[shape_base + 3] = float(max_fanout)
+    features[shape_base + 4] = float(len(nodes) - leaf_count)
+    return tuple(features)
+
+
+def float_bits(values):
+    return [value.hex() for value in values]
+
+
 # ---------------------------------------------------------------- embedding
 
 
@@ -95,8 +148,6 @@ class TestEmbedding:
         plan = build_plan(scans=2)  # Aggregate -> Hash Join -> 2 scans
         vector = embed_plan(plan)
         counts = plan.count_categories()
-        from repro.core import OPERATION_CATEGORY_ORDER, PROPERTY_CATEGORY_ORDER
-
         for position, category in enumerate(OPERATION_CATEGORY_ORDER):
             assert vector[position] == float(counts[category])
         property_counts = plan.count_property_categories()
@@ -125,9 +176,23 @@ class TestEmbedding:
         assert second is not first
         assert second != first
 
-    def test_survives_serialisation_roundtrip(self):
-        from repro.core import UnifiedPlan
+    def test_matches_counter_reference(self, dialect_example_plans):
+        plans = dict(dialect_example_plans)
+        plans["builder"] = build_plan(scans=3)
+        plans["bare"] = UnifiedPlan(root=None)
+        assert any(plan.root is None for plan in plans.values())
+        assert any(
+            plan.root is not None and plan.properties for plan in plans.values()
+        )
+        for name, plan in plans.items():
+            # A fresh copy holds no cached vector, so the walk really runs.
+            fresh = UnifiedPlan.from_dict(plan.to_dict())
+            assert float_bits(embed_plan(fresh)) == float_bits(
+                reference_embedding(plan)
+            ), name
+        assert embed_plan(plans["bare"]) == (0.0,) * EMBEDDING_DIMENSIONS
 
+    def test_survives_serialisation_roundtrip(self):
         plan = build_plan(scans=2)
         clone = UnifiedPlan.from_dict(plan.to_dict())
         assert embed_plan(clone) == embed_plan(plan)
@@ -218,20 +283,68 @@ class TestPlanIndex:
     @pytest.mark.skipif(
         not arrays.numpy_available(), reason="requires numpy to compare paths"
     )
-    def test_numpy_and_list_paths_bit_identical(self, numpy_toggle):
-        # Above the dense threshold, numpy answers queries; the pure-list
-        # fallback must return the *same bits*, not merely close floats.
-        index = PlanIndex()
-        for scans in range(1, 21):
-            index.add(f"fp-{scans:02d}", embed_plan(build_plan(scans=scans)))
-        index.add("fp-zero", (0.0,) * EMBEDDING_DIMENSIONS)
-        probes = [embed_plan(build_plan(scans=scans)) for scans in range(1, 8)]
-        probes.append((0.0,) * EMBEDDING_DIMENSIONS)
-        arrays.set_numpy_enabled(True)
-        with_numpy = [index.query(probe, k=5) for probe in probes]
-        arrays.set_numpy_enabled(False)
-        without_numpy = [index.query(probe, k=5) for probe in probes]
-        assert with_numpy == without_numpy
+    def test_numpy_and_list_paths_bit_identical(self, numpy_toggle, tmp_path):
+        # An interleaved stream: every step asks k=1, k=3 and k=5 (more than
+        # the entries, early on) on both paths, then adds.  The pure-list path must return the *same bits* as the
+        # numpy path (and as cosine_distance), not merely close floats.
+        stream = []
+        for scans in range(1, 20):
+            vector = embed_plan(build_plan(scans=scans))
+            # Equal vectors under fingerprints that sort against insertion
+            # order, and a scaled copy (cosine distance exactly 0 to it), so
+            # ties straddle the k-th distance with rows out of tie order.
+            stream.append((f"m-{scans:02d}", vector))
+            stream.append((f"c-{scans:02d}", vector))
+            stream.append((f"x-{scans:02d}", tuple(2.0 * value for value in vector)))
+            if scans % 6 == 0:
+                stream.append((f"a-{scans:02d}", vector))
+                stream.append((f"zero-{scans:02d}", (0.0,) * EMBEDDING_DIMENSIONS))
+        assert len(stream) > 2 * _INITIAL_CAPACITY  # at least two growths
+        numpy_off = range(len(stream) // 3, len(stream) // 2)
+        root = str(tmp_path / "idx")
+        index = PlanIndex(path=root, shard_count=4)
+
+        def answers(target, probe):
+            return [
+                [(key, distance.hex()) for key, distance in target.query(probe, k=k)]
+                for k in (1, 3, 5)
+            ]
+
+        def both_paths(target, probe):
+            arrays.set_numpy_enabled(True)
+            with_numpy = answers(target, probe)
+            arrays.set_numpy_enabled(False)
+            assert answers(target, probe) == with_numpy
+            return with_numpy
+
+        added = {}
+        for step, (fingerprint, vector) in enumerate(stream):
+            result = both_paths(index, vector)
+            expected = sorted(
+                (cosine_distance(vector, other), key) for key, other in added.items()
+            )
+            assert result == [
+                [(key, distance.hex()) for distance, key in expected[:k]]
+                for k in (1, 3, 5)
+            ]
+            arrays.set_numpy_enabled(step not in numpy_off)
+            index.add(fingerprint, vector)
+            added[fingerprint] = vector
+
+        # Reopened from disk (rows in shard order) and rebuilt from a payload
+        # (rows in fingerprint order), the index answers exactly as it does live.
+        index.flush()
+        reopened = PlanIndex.open(root, shard_count=4)
+        rebuilt = PlanIndex()
+        rebuilt.merge_payload(index.to_payload())
+        probes = [vector for _, vector in stream]
+        probes.append(embed_plan(build_plan(scans=25)))
+        for probe in probes:
+            live = both_paths(index, probe)
+            assert both_paths(reopened, probe) == live
+            assert both_paths(rebuilt, probe) == live
+        reopened.close()
+        index.close()
 
 
 # ---------------------------------------------------------------- durability
