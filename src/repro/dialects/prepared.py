@@ -18,9 +18,17 @@ re-plans the text from scratch.
   since-mutated database simply misses and is re-planned; stale plans are
   unreachable by construction.  Entries for dead versions age out of the LRU.
 
+**Carried ASTs.**  Statements the campaign code builds arrive as
+:class:`~repro.sqlparser.carried.ParsedText` — the SQL text carrying the
+statement list ``parse_sql`` would return for it.  A parse-cache miss on
+such a text stores the carried list instead of lexing and parsing, so a
+campaign's generated statements are never parsed at all.  The text stays
+the only identity (cache keys are computed from it as for any string).
+
 The cache is semantically invisible: with ``enabled=False`` every lookup
-misses and the dialect behaves exactly as before (asserted by the
-cache-on/cache-off campaign-equivalence tests).
+misses, the text is parsed (carried lists are ignored), and the dialect
+behaves exactly as before.  The cache-on/cache-off campaign-equivalence
+tests therefore also prove that carried ASTs plan exactly like parsed ones.
 
 Normalization collapses whitespace runs only when the text provably contains
 no construct whose meaning depends on whitespace or raw text (string
@@ -37,6 +45,7 @@ from typing import Callable, List, Tuple
 from repro.core.caching import CacheStats, LRUCache
 from repro.optimizer.physical import PhysicalNode, RuntimeStats
 from repro.sqlparser import ast_nodes as ast
+from repro.sqlparser.carried import ParsedText
 from repro.sqlparser.parser import parse_sql
 
 #: Characters whose presence makes whitespace-collapsing unsafe: quotes keep
@@ -74,14 +83,20 @@ class PreparedQueryCache:
         """Parse *sql* through the cache.
 
         Returns ``(normalized key, statements)``; the statement list and its
-        AST nodes are shared between callers and must not be mutated.
+        AST nodes are shared between callers and must not be mutated.  On a
+        miss, a :class:`~repro.sqlparser.carried.ParsedText` contributes its
+        carried statements instead of being parsed; with the cache disabled
+        the text is always parsed and the carried list ignored.
         """
         if not self.enabled:
             return sql, parse_sql(sql)
         key = normalize_sql(sql)
         statements = self._asts.get(key)
         if statements is None:
-            statements = parse_sql(sql)
+            if isinstance(sql, ParsedText):
+                statements = sql.statements
+            else:
+                statements = parse_sql(sql)
             self._asts.put(key, statements)
         return key, statements
 

@@ -4,15 +4,20 @@ The simulated relational DBMSs (:mod:`repro.dialects`) parse SQL through this
 package before planning and executing statements.  The supported subset covers
 the paper's workloads: DDL, DML, and SELECT with joins, grouping, set
 operations, ordering, limits, and (scalar / IN / EXISTS) subqueries.
+:class:`ParsedText` lets code that builds SQL as an AST hand the dialects
+the parse along with the text (see :mod:`repro.sqlparser.carried`).
 """
 
 from repro.sqlparser import ast_nodes as ast
+from repro.sqlparser.carried import ParsedText, as_parsed
 from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.parser import Parser, parse_one, parse_sql
 from repro.sqlparser.printer import print_expression, print_select, print_statement
 
 __all__ = [
     "ast",
+    "ParsedText",
+    "as_parsed",
     "tokenize",
     "Parser",
     "parse_sql",

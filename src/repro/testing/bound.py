@@ -25,7 +25,10 @@ from repro.testing.generator import RandomQueryGenerator
 
 @dataclass
 class BoundViolation:
-    """One operator whose actual row count exceeded its proven size bound."""
+    """One operator whose actual row count exceeded its proven size bound.
+
+    ``query`` is plain text, never a carried-AST ``ParsedText``.
+    """
 
     dbms: str
     query: str
@@ -57,7 +60,7 @@ class SizeBoundChecker:
         violations = [
             BoundViolation(
                 dbms=self.dialect.name,
-                query=query,
+                query=str(query),
                 operator=str(entry.get("operator", "?")),
                 size_bound=float(entry.get("size_bound", 0.0)),
                 actual_rows=int(entry.get("actual_rows", 0)),

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.dialects.base import ExplainOutput, RelationalDialect
+from repro.errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ class FaultyDialect:
         if bucket % self.trigger_rate == 0:
             return self.logic_bugs[bucket % len(self.logic_bugs)]
         # Listing 3: index-backed IN(GREATEST(...)) look-ups are always wrong.
-        if "IN (GREATEST(" in query.upper().replace(" ", " ") and self.dialect.database.index_names():
+        if "IN (GREATEST(" in query.upper() and self.dialect.database.index_names():
             return self.logic_bugs[0]
         return None
 
@@ -245,8 +246,21 @@ class FaultyDialect:
             # perturb that estimate instead of planning locally.
             estimate = max(float(inner(statement)), 1.0)
         else:
-            physical = self.dialect.planner.plan_statement(
-                __import__("repro.sqlparser.parser", fromlist=["parse_one"]).parse_one(statement)
+            # Through the wrapped dialect's prepared cache, like execute and
+            # explain: repeated texts reuse their AST and plan, and a
+            # ParsedText is planned from its carried statements.
+            dialect = self.dialect
+            text_key, statements = dialect.prepared.parse(statement)
+            if len(statements) != 1:
+                raise ParseError(
+                    f"expected exactly one statement, found {len(statements)}"
+                )
+            parsed = statements[0]
+            physical = dialect.prepared.plan(
+                text_key,
+                0,
+                dialect.database.version,
+                lambda: dialect.planner.plan_statement(parsed),
             )
             estimate = max(physical.estimated_rows, 1.0)
         fault = self.performance_fault_for(statement)

@@ -20,7 +20,7 @@ from repro.testing.generator import RandomQueryGenerator
 
 @dataclass
 class CERTViolation:
-    """One potential performance issue found by CERT."""
+    """One potential performance issue found by CERT (queries as plain text)."""
 
     dbms: str
     query: str
@@ -92,8 +92,8 @@ class CardinalityRestrictionTester:
         if restricted > base * self.tolerance:
             violation = CERTViolation(
                 dbms=self.dialect.name,
-                query=query,
-                restricted_query=restricted_query,
+                query=str(query),
+                restricted_query=str(restricted_query),
                 base_estimate=base,
                 restricted_estimate=restricted,
             )

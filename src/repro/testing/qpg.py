@@ -92,6 +92,8 @@ class QPGStatistics:
     #: Sum of the per-plan novelty rewards (nearest-covered-plan distances)
     #: under ``novelty="similarity"``; stays 0.0 in exact mode.
     novelty_reward_total: float = 0.0
+    #: Plain text (never a carried-AST ``ParsedText``): reports, round
+    #: payloads and pickled shard results copy these strings.
     violating_queries: List[str] = field(default_factory=list)
 
 
@@ -232,7 +234,7 @@ class QueryPlanGuidance:
             self.statistics.oracle_checks += 1
             if not self.oracle(query):
                 self.statistics.oracle_violations += 1
-                self.statistics.violating_queries.append(query)
+                self.statistics.violating_queries.append(str(query))
             return
         if not self.config.run_tlp:
             return
