@@ -1,20 +1,14 @@
-"""Parallel-layer benchmarks: sharded campaigns and the morsel engine.
+"""Parallel-layer benchmark: sharded campaigns vs serial.
 
-Two measurements feed ``BENCH_parallel.json``:
-
-* **Campaign scaling** — a serial :class:`~repro.testing.campaign.TestingCampaign`
-  vs :class:`repro.parallel.ShardedCampaign` with four shards over four
-  DBMS rounds.  The merged coverage set and Table V must be byte-identical
-  to serial (``sharded_coverage_identical`` / ``sharded_reports_identical``
-  are enforced everywhere, always); the ``scaling_at_least_2_5x_on_4_cores``
-  speedup floor is judged only where it is judgeable — at least four CPUs,
-  a real process pool (no in-process fallback), and the full-size corpus.
-  On gated hosts the measured speedup is still recorded.
-* **Morsel operator microbench** — the serial vectorized engine vs
-  ``executor="parallel"`` on a scan+filter+join workload big enough for
-  the exchange to engage.  ``morsel_results_identical`` is enforced
-  everywhere: the engine-level pool is GIL-bound Python, so its *speedup*
-  is informational, but its *answers* are the determinism contract.
+**Campaign scaling** feeds ``BENCH_parallel.json``: a serial
+:class:`~repro.testing.campaign.TestingCampaign` vs
+:class:`repro.parallel.ShardedCampaign` with four shards over four DBMS
+rounds.  The merged coverage set and Table V must be byte-identical to
+serial (``sharded_coverage_identical`` / ``sharded_reports_identical`` are
+enforced everywhere, always); the ``scaling_at_least_2_5x_on_4_cores``
+speedup floor is judged only where it is judgeable — at least four CPUs, a
+real process pool (no in-process fallback), and the full-size corpus.  On
+gated hosts the measured speedup is still recorded.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.dialects import create_dialect
 from repro.parallel import ShardedCampaign
 from repro.testing.campaign import TestingCampaign
 
@@ -83,68 +76,10 @@ def measure_campaign_scaling(quick: bool = False, shards: int = 4) -> dict:
     }
 
 
-_MORSEL_QUERIES = [
-    "SELECT a, c FROM big WHERE a > 40 AND b IS NOT NULL",
-    "SELECT big.a, dim.v FROM big JOIN dim ON big.a = dim.k WHERE big.c > 50.0",
-    "SELECT a, COUNT(*) FROM big WHERE b < 11 GROUP BY a ORDER BY a",
-]
-
-
-def _morsel_dialect(executor: str, rows: int):
-    dialect = create_dialect("postgresql")
-    dialect.set_executor(executor)
-    dialect.execute("CREATE TABLE big (a INT, b INT, c REAL)")
-    dialect.database.insert_rows(
-        "big",
-        [
-            {"a": i % 89, "b": (i * 3) % 17 if i % 13 else None, "c": float(i) * 0.25}
-            for i in range(rows)
-        ],
-    )
-    dialect.execute("CREATE TABLE dim (k INT, v INT)")
-    dialect.database.insert_rows(
-        "dim", [{"k": i % 89, "v": i} for i in range(rows // 2)]
-    )
-    dialect.analyze_tables()
-    return dialect
-
-
-def measure_morsel_operators(quick: bool = False, repeats: int = 3) -> dict:
-    """Serial vectorized vs morsel-driven parallel executor."""
-    rows = 4000 if quick else 20000
-    repeats = 1 if quick else repeats
-    timings = {}
-    results = {}
-    for executor in ("vectorized", "parallel"):
-        dialect = _morsel_dialect(executor, rows)
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            outcome = [dialect.execute(query) for query in _MORSEL_QUERIES]
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-        timings[executor] = best
-        results[executor] = outcome
-    return {
-        "rows": rows,
-        "queries": list(_MORSEL_QUERIES),
-        "vectorized": {"seconds": timings["vectorized"]},
-        "parallel": {"seconds": timings["parallel"]},
-        "speedup": (
-            timings["vectorized"] / timings["parallel"]
-            if timings["parallel"]
-            else 0.0
-        ),
-        "results_identical": results["vectorized"] == results["parallel"],
-    }
-
-
 def collect_snapshot(quick: bool = False) -> dict:
     """The BENCH_parallel.json payload."""
     cpus = os.cpu_count() or 1
     scaling = measure_campaign_scaling(quick=quick)
-    morsel = measure_morsel_operators(quick=quick)
     # The speedup floor is judged only where it is judgeable: four CPUs for
     # four shards, a real process pool behind them (no in-process
     # fallback), and the full-size corpus (--quick rounds are dominated by
@@ -158,12 +93,10 @@ def collect_snapshot(quick: bool = False) -> dict:
         "cpus": cpus,
         "skipped_multicore": cpus < 2,
         "campaign_scaling": scaling,
-        "morsel_operators": morsel,
         "invariants": {
             "sharded_coverage_identical": scaling["coverage_identical"],
             "sharded_reports_identical": scaling["reports_identical"],
             "sharded_counters_identical": scaling["counters_identical"],
-            "morsel_results_identical": morsel["results_identical"],
             "scaling_at_least_2_5x_on_4_cores": (
                 scaling["speedup"] >= 2.5 if scaling_judgeable else True
             ),
@@ -186,7 +119,3 @@ def test_sharded_campaign_equivalence(benchmark):
     assert merged.plan_fingerprints == serial.plan_fingerprints
     assert merged.table5_rows() == serial.table5_rows()
 
-
-def test_morsel_engine_results_identical():
-    snapshot = measure_morsel_operators(quick=True)
-    assert snapshot["results_identical"]

@@ -14,8 +14,7 @@ Nine snapshots are written:
   the dedup invariant (conversions happen only for unique source texts);
 * ``BENCH_coverage.json`` — warm-start ingest over a persisted
   :class:`~repro.pipeline.CoverageStore` (how many conversions the
-  persistent source index skips) and process-pool vs single-thread
-  conversion throughput on a CPU-heavy batch;
+  persistent source index skips);
 * ``BENCH_campaign.json`` — end-to-end QPG queries/sec with cold vs warm
   prepared-query/conversion caches, a per-stage lifecycle profile, and the
   cache-on vs cache-off campaign-equivalence check;
@@ -31,7 +30,7 @@ Nine snapshots are written:
 * ``BENCH_parallel.json`` — sharded-campaign scaling vs serial (the
   merged coverage/Table V byte-identity flags are enforced everywhere;
   the ≥ 2.5x four-shard speedup floor only on ≥ 4-CPU hosts with a real
-  process pool) and the morsel-driven engine's result identity;
+  process pool);
 * ``BENCH_optimizer.json`` — cost-based multi-join optimization vs the
   as-written plan oracle (the five-table chain join must win by ≥ 50x
   with identical results), the corpus/campaign toggle-equivalence flags,
@@ -260,19 +259,13 @@ def main(argv=None) -> int:
         coverage_snapshot = bench_coverage.collect_snapshot(quick=args.quick)
         write_snapshot(coverage_snapshot, args.coverage_output)
         warm = coverage_snapshot["warm_start"]
-        pool = coverage_snapshot["process_pool"]
         print(
-            "warm-start ingest: skipped {:.0f}% of conversions ({:.1f}x faster); "
-            "process pool: {:.2f}x vs single thread on {} cpu(s)".format(
+            "warm-start ingest: skipped {:.0f}% of conversions ({:.1f}x faster)".format(
                 warm["skip_ratio"] * 100,
                 warm["warm_speedup"],
-                pool["speedup"],
-                coverage_snapshot["cpus"],
             )
         )
-        coverage_invariants = dict(coverage_snapshot["invariants"])
-        coverage_invariants.pop("process_pool_gated", None)  # informational
-        if not all(coverage_invariants.values()):
+        if not all(coverage_snapshot["invariants"].values()):
             print(
                 "COVERAGE INVARIANTS VIOLATED:", coverage_snapshot["invariants"],
                 file=sys.stderr,
@@ -358,18 +351,14 @@ def main(argv=None) -> int:
         parallel_snapshot = bench_parallel.collect_snapshot(quick=args.quick)
         write_snapshot(parallel_snapshot, args.parallel_output)
         scaling = parallel_snapshot["campaign_scaling"]
-        morsel = parallel_snapshot["morsel_operators"]
         print(
             "parallel: {}-shard campaign {:.2f}x vs serial on {} cpu(s) "
-            "(pool_active={}); coverage identical: {}; morsel engine "
-            "{:.2f}x, results identical: {}".format(
+            "(pool_active={}); coverage identical: {}".format(
                 scaling["shards"],
                 scaling["speedup"],
                 parallel_snapshot["cpus"],
                 scaling["sharded"]["pool_active"],
                 scaling["coverage_identical"],
-                morsel["speedup"],
-                morsel["results_identical"],
             )
         )
         parallel_invariants = dict(parallel_snapshot["invariants"])

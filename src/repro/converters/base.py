@@ -247,17 +247,6 @@ class ConverterHub:
         """Like :meth:`is_cached` for callers that already hold the key."""
         return key in self._cache
 
-    def put_cached(self, key: Tuple[str, str, str], plan: UnifiedPlan) -> None:
-        """Seed the cache with an externally produced conversion.
-
-        The ingestion service's process-pool path parses in worker processes
-        and hands the unpickled plans back here, so later batches hit the
-        parent hub's cache exactly as if the parse had happened in-process.
-        The plan's fingerprint is pre-computed, matching :meth:`convert_traced`.
-        """
-        plan.fingerprint()
-        self._cache.put(key, plan)
-
     # -- introspection ---------------------------------------------------------
 
     @property

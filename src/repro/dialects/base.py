@@ -172,8 +172,9 @@ class RelationalDialect(SimulatedDBMS):
         *how* the next plan is interpreted, never what it returns.
         """
         if kind != self.executor_kind:
-            self.executor_kind = kind
+            # Build first: an unknown name raises before any state changes.
             self.executor = create_executor(kind, self.database, self.planner)
+            self.executor_kind = kind
 
     def set_decorrelate(self, enabled: bool) -> None:
         """Toggle subquery decorrelation (plans change, results never do).
@@ -292,6 +293,27 @@ class RelationalDialect(SimulatedDBMS):
             query=statement,
             bound_violations=violations,
         )
+
+    def estimated_root_rows(self, statement: str) -> float:
+        """The planner's root cardinality estimate for one statement.
+
+        Goes through :attr:`prepared` like :meth:`execute` and
+        :meth:`explain`: repeated texts reuse their AST and plan, and a
+        ``ParsedText`` is planned from its carried statements.
+        """
+        text_key, statements = self.prepared.parse(statement)
+        if len(statements) != 1:
+            raise ParseError(
+                f"expected exactly one statement, found {len(statements)}"
+            )
+        parsed = statements[0]
+        physical = self.prepared.plan(
+            text_key,
+            0,
+            self.database.version,
+            lambda: self.planner.plan_statement(parsed),
+        )
+        return max(physical.estimated_rows, 1.0)
 
     def reset(self) -> None:
         """Drop every table, returning the DBMS to a pristine state."""

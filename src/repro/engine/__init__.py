@@ -1,12 +1,10 @@
 """Execution engine substrate: expression evaluation and the plan executors.
 
-Three interchangeable executors interpret physical plans: the row-at-a-time
-:class:`~repro.engine.executor.Executor` (the correctness oracle), the
+Two interchangeable executors interpret physical plans: the row-at-a-time
+:class:`~repro.engine.executor.Executor` (the correctness oracle) and the
 columnar :class:`~repro.engine.vectorized.VectorizedExecutor` (the fast
-path), and the morsel-driven :class:`~repro.engine.morsel.ParallelExecutor`
-(the vectorized engine with exchange-operator parallelism for scans,
-filters, and hash-join builds).  ``create_executor`` picks one by name —
-the ``executor=`` toggle the dialects and campaigns expose."""
+path).  ``create_executor`` picks one by name — the ``executor=`` toggle
+the dialects and campaigns expose."""
 
 from repro.engine import arrays
 from repro.engine.arrays import (
@@ -25,14 +23,12 @@ from repro.engine.expressions import (
     resolve_column,
 )
 from repro.engine.executor import Executor
-from repro.engine.morsel import MorselExchange, ParallelExecutor
 from repro.engine.vectorized import RowBatch, VectorizedExecutor
 
 #: The executor implementations selectable by name.
 EXECUTORS = {
     "row": Executor,
     "vectorized": VectorizedExecutor,
-    "parallel": ParallelExecutor,
 }
 
 
@@ -61,8 +57,6 @@ __all__ = [
     "evaluate_predicate",
     "resolve_column",
     "Executor",
-    "MorselExchange",
-    "ParallelExecutor",
     "RowBatch",
     "VectorizedExecutor",
     "EXECUTORS",

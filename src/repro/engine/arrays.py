@@ -166,16 +166,6 @@ class ArrayColumn:
             return self.tolist() == list(other)
         return NotImplemented
 
-    def __getstate__(self):
-        # Columns cross process boundaries (morsel workers, sharded
-        # campaigns); ship only the arrays — the materialized-list cache is
-        # derived state and may be large.
-        return (self.values, self.validity)
-
-    def __setstate__(self, state) -> None:
-        self.values, self.validity = state
-        self._list = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ArrayColumn(dtype={self.values.dtype}, length={len(self.values)}, "

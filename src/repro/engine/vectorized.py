@@ -423,12 +423,8 @@ class VectorizedExecutor(Executor):
     def _apply_filter(
         self, node: PhysicalNode, key: str, batches: List[RowBatch]
     ) -> List[RowBatch]:
-        """Run the node's *key* predicate over *batches*, keeping survivors.
-
-        Batch order is the row order contract; a subclass may evaluate the
-        batches concurrently (the parallel executor's morsel exchange) as
-        long as the surviving batches come back in input order.
-        """
+        """Run the node's *key* predicate over *batches*, keeping survivors
+        in input order (batch order is the row order contract)."""
         select = self._node_batch_predicate(node, key)
         output: List[RowBatch] = []
         for batch in batches:
@@ -537,7 +533,12 @@ class VectorizedExecutor(Executor):
         else:
             # Build on the right side: normalised key tuple -> right positions
             # (in right order, matching the row executor's bucket lists).
-            build = self._hash_build(right, right_keys)
+            build: Dict[Tuple, List[int]] = {}
+            if right_keys is not None:
+                for position in range(right.length):
+                    key = _key_at(right_keys, position)
+                    if key is not None:
+                        build.setdefault(key, []).append(position)
 
             # Probe: collect candidate (left, right) pairs left-major.
             candidate_left: List[int] = []
@@ -596,22 +597,6 @@ class VectorizedExecutor(Executor):
                     columns[key].append(source[position] if side == "l" else None)
                 length += 1
         return _split(RowBatch(columns, length), self.batch_size)
-
-    def _hash_build(
-        self, right: RowBatch, right_keys: Optional[List[List[object]]]
-    ) -> Dict[Tuple, List[int]]:
-        """The hash-join build table: normalised key tuple -> right-side
-        positions, bucket lists in ascending position order (the row
-        executor's bucket order).  A seam for the parallel executor, which
-        builds per-morsel partial tables and merges them in morsel order —
-        producing this exact mapping."""
-        build: Dict[Tuple, List[int]] = {}
-        if right_keys is not None:
-            for position in range(right.length):
-                key = _key_at(right_keys, position)
-                if key is not None:
-                    build.setdefault(key, []).append(position)
-        return build
 
     def _batch_merge_join(self, node: PhysicalNode, analyze: bool) -> List[RowBatch]:
         # Correctness first, exactly as the row executor: a merge join

@@ -4,8 +4,7 @@
 generator seed space × DBMS list) across a process pool and merges the
 shard results — coverage stores, Table V reports, counters — into a result
 byte-identical to the serial :class:`~repro.testing.campaign.TestingCampaign`
-run, including under resume/crash of individual workers.  Operator-level
-(morsel) parallelism lives in :mod:`repro.engine.morsel`.
+run, including under resume/crash of individual workers.
 """
 
 from repro.parallel.campaign import ShardedCampaign, shard_round_indexes

@@ -8,7 +8,7 @@ plans from any mix of the nine DBMSs into a deduplicated corpus:
 * :class:`PlanSource` — one raw serialized plan plus its provenance,
 * :class:`PlanIngestService` — batched ingestion with source-level dedup,
   LRU-cached conversion (via the
-  :class:`~repro.converters.base.ConverterHub`), thread- or process-pooled
+  :class:`~repro.converters.base.ConverterHub`), thread-pooled
   parsing, and fingerprint-level dedup,
 * :class:`CoverageStore` — the durable, sharded fingerprint/coverage index
   (append-only JSONL segments keyed by fingerprint prefix, atomic

@@ -364,10 +364,7 @@ class QueryService:
         sql = request["sql"]
 
         def work():
-            from repro.sqlparser.parser import parse_one
-
-            physical = session.dialect.planner.plan_statement(parse_one(sql))
-            return {"rows": max(physical.estimated_rows, 1.0)}
+            return {"rows": session.dialect.estimated_root_rows(sql)}
 
         return await self._run_statement(session, work, read_only=True, pin_view=False)
 

@@ -67,31 +67,6 @@ class TableSnapshot:
             self._positions = positions
         return positions[row_id]
 
-    def slice(self, start: int, stop: int) -> "TableSnapshot":
-        """A snapshot covering rows ``[start:stop)`` of this one.
-
-        Column slices are zero-copy views for typed array columns and plain
-        list slices otherwise, so carving a snapshot into morsels is cheap.
-        The slice shares this snapshot's version/token identity and is as
-        immutable as its parent.
-        """
-        return TableSnapshot(
-            self.version,
-            self.row_ids[start:stop],
-            {name: values[start:stop] for name, values in self.columns.items()},
-            self.arrays_token,
-        )
-
-    def __getstate__(self):
-        # Snapshots (and their slices) are shipped to worker processes;
-        # the row-id position map is derived state, rebuilt lazily on the
-        # other side instead of being serialized.
-        return (self.version, self.row_ids, self.columns, self.arrays_token)
-
-    def __setstate__(self, state) -> None:
-        self.version, self.row_ids, self.columns, self.arrays_token = state
-        self._positions = None
-
 
 class HeapTable:
     """A row store with stable row ids and tombstone-style deletes."""

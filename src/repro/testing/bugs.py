@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.dialects.base import ExplainOutput, RelationalDialect
-from repro.errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -239,30 +238,7 @@ class FaultyDialect:
 
     def estimated_root_rows(self, statement: str) -> float:
         """Root cardinality estimate, perturbed for performance-fault triggers."""
-        inner = getattr(self.dialect, "estimated_root_rows", None)
-        if inner is not None:
-            # The wrapped dialect exposes its own estimator (e.g. the service
-            # adapter, whose planner lives on the other side of the wire) —
-            # perturb that estimate instead of planning locally.
-            estimate = max(float(inner(statement)), 1.0)
-        else:
-            # Through the wrapped dialect's prepared cache, like execute and
-            # explain: repeated texts reuse their AST and plan, and a
-            # ParsedText is planned from its carried statements.
-            dialect = self.dialect
-            text_key, statements = dialect.prepared.parse(statement)
-            if len(statements) != 1:
-                raise ParseError(
-                    f"expected exactly one statement, found {len(statements)}"
-                )
-            parsed = statements[0]
-            physical = dialect.prepared.plan(
-                text_key,
-                0,
-                dialect.database.version,
-                lambda: dialect.planner.plan_statement(parsed),
-            )
-            estimate = max(physical.estimated_rows, 1.0)
+        estimate = self.dialect.estimated_root_rows(statement)
         fault = self.performance_fault_for(statement)
         if fault is not None:
             # A restricted query suddenly gets a *larger* estimate: the

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dialects import create_dialect
+from repro.engine import EXECUTORS
 from repro.pipeline import PlanIngestService
 from repro.testing.bound import SizeBoundChecker
 from repro.testing.bugs import (
@@ -173,6 +174,10 @@ class TestingCampaign:
         #: Like the prepared cache, the choice is semantically invisible:
         #: row-executor campaigns produce byte-identical coverage sets and
         #: Table V reports (tests/test_vectorized_equivalence.py).
+        if executor.lower() not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; available: {sorted(EXECUTORS)}"
+            )
         self.executor = executor
         #: Whether the planners decorrelate uncorrelated IN/EXISTS
         #: predicates into hash semi/anti joins.  Result rows (and therefore
@@ -307,7 +312,7 @@ class TestingCampaign:
                 result.store_payload = store.to_payload()
         finally:
             # Completed rounds were checkpointed; close the store handles
-            # (and any process pool) even when a round aborts mid-way.
+            # even when a round aborts mid-way.
             if campaign_index is not None:
                 campaign_index.close()
             ingest_service.close()

@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.converters import converter_for
 from repro.core.categories import PropertyCategory
 from repro.core.model import UnifiedPlan
+from repro.dialects.base import SimulatedDBMS
 from repro.testing.generator import RandomQueryGenerator
 
 
@@ -74,9 +75,13 @@ class CardinalityRestrictionTester:
 
     def estimate(self, query: str) -> Optional[float]:
         """Return the estimated root cardinality of *query*."""
-        # Fault-injected dialects expose a direct estimate hook so that seeded
-        # cardinality bugs are visible regardless of the serialized format.
-        if hasattr(self.dialect, "estimated_root_rows"):
+        # Wrappers (fault injection, the service adapter) expose a direct
+        # estimate hook so that seeded cardinality bugs are visible
+        # regardless of the serialized format.  A simulated DBMS itself is
+        # estimated the paper's way: through EXPLAIN and the unified plan.
+        if not isinstance(self.dialect, SimulatedDBMS) and hasattr(
+            self.dialect, "estimated_root_rows"
+        ):
             return float(self.dialect.estimated_root_rows(query))
         output = self.dialect.explain(query, format=self.explain_format)
         plan = self.converter.convert(output.text, format=self.explain_format)

@@ -487,7 +487,7 @@ class TestHashJoinProbeParity:
         from repro.dialects import create_dialect
 
         dialects = []
-        for kind in ("row", "vectorized", "parallel"):
+        for kind in ("row", "vectorized"):
             dialect = create_dialect("postgresql")
             dialect.set_executor(kind)
             dialect.execute("CREATE TABLE lt (k INT, v INT)")
@@ -594,7 +594,7 @@ class TestHashJoinProbeParity:
         from repro.dialects import create_dialect
 
         dialects = []
-        for kind in ("row", "vectorized", "parallel"):
+        for kind in ("row", "vectorized"):
             dialect = create_dialect("postgresql")
             dialect.set_executor(kind)
             dialect.execute("CREATE TABLE lt (k INT, v INT)")

@@ -132,7 +132,6 @@ def test_committed_snapshot_invariants_all_hold():
 
 def _fake_parallel_snapshot(invariants, cpus=1):
     """A structurally complete parallel snapshot with canned numbers."""
-    timing = {"seconds": 0.5}
     return {
         "benchmark": "parallel",
         "quick": True,
@@ -153,14 +152,6 @@ def _fake_parallel_snapshot(invariants, cpus=1):
             "reports_identical": True,
             "counters_identical": True,
         },
-        "morsel_operators": {
-            "rows": 4000,
-            "queries": ["SELECT 1"],
-            "vectorized": timing,
-            "parallel": timing,
-            "speedup": 1.0,
-            "results_identical": True,
-        },
         "invariants": invariants,
     }
 
@@ -169,7 +160,6 @@ _PARALLEL_GREEN = {
     "sharded_coverage_identical": True,
     "sharded_reports_identical": True,
     "sharded_counters_identical": True,
-    "morsel_results_identical": True,
     "scaling_at_least_2_5x_on_4_cores": True,
     "scaling_gated": True,
 }
@@ -216,7 +206,6 @@ def test_parallel_gated_flag_is_informational(run_parallel_only):
     [
         "sharded_coverage_identical",
         "sharded_reports_identical",
-        "morsel_results_identical",
         "scaling_at_least_2_5x_on_4_cores",
     ],
 )
@@ -239,16 +228,11 @@ def test_parallel_snapshot_gates_scaling_by_environment(monkeypatch):
     assert snapshot["invariants"]["scaling_at_least_2_5x_on_4_cores"] is True
     assert snapshot["invariants"]["sharded_coverage_identical"] is True
     assert snapshot["invariants"]["sharded_reports_identical"] is True
-    assert snapshot["invariants"]["morsel_results_identical"] is True
 
 
-def test_coverage_snapshot_reports_skipped_multicore():
-    # The explicit single-core marker downstream consumers key off.
+def test_coverage_snapshot_enforces_only_the_warm_start_floor():
     snapshot = bench_coverage.collect_snapshot(quick=True)
-    assert "skipped_multicore" in snapshot
-    assert snapshot["skipped_multicore"] == (snapshot["cpus"] < 2)
-    if snapshot["skipped_multicore"]:
-        assert snapshot["invariants"]["process_pool_gated"] is True
+    assert snapshot["invariants"] == {"warm_start_skips_at_least_90pct": True}
 
 
 def test_committed_parallel_snapshot_invariants_all_hold():
@@ -261,12 +245,13 @@ def test_committed_parallel_snapshot_invariants_all_hold():
     assert "skipped_multicore" in snapshot
 
 
-def test_committed_coverage_snapshot_has_multicore_flag():
+def test_committed_coverage_snapshot_invariants_all_hold():
+    """The checked-in BENCH_coverage.json must never ship with red flags."""
     path = os.path.join(os.path.dirname(_BENCHMARKS), "BENCH_coverage.json")
     with open(path) as handle:
         snapshot = json.load(handle)
-    assert "skipped_multicore" in snapshot
-    assert snapshot["skipped_multicore"] == (snapshot["cpus"] < 2)
+    assert snapshot["invariants"], "snapshot carries no invariants"
+    assert all(snapshot["invariants"].values()), snapshot["invariants"]
 
 
 def _fake_optimizer_snapshot(invariants):

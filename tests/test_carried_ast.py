@@ -233,6 +233,20 @@ class TestCarriedTextContract:
             assert type(derived) is str
         assert pickle.loads(pickle.dumps(text)) == text
 
+    @pytest.mark.parametrize("name", RELATIONAL_DIALECTS)
+    def test_estimate_without_a_fault_is_the_dialect_estimate(self, name):
+        # FaultyDialect has no planner path of its own: with no performance
+        # bug armed it answers exactly what the wrapped dialect answers.
+        dialect = create_dialect(name)
+        for statement in self.SETUP:
+            dialect.execute(statement)
+        dialect.analyze_tables()
+        faulty = FaultyDialect(dialect)
+        for query in ("SELECT c0 FROM t WHERE c0 > 2", "SELECT c0 FROM t"):
+            assert faulty.estimated_root_rows(query) == dialect.estimated_root_rows(
+                query
+            )
+
     def test_estimated_root_rows_rejects_scripts(self):
         from repro.errors import ParseError
 

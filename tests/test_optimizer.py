@@ -139,7 +139,7 @@ class TestJoinOrdering:
     )
 
     @pytest.mark.parametrize("optimize_joins", [True, False])
-    @pytest.mark.parametrize("executor", ["row", "vectorized", "parallel"])
+    @pytest.mark.parametrize("executor", ["row", "vectorized"])
     def test_condition_orientation_across_executors(self, executor, optimize_joins):
         """Regression: DP may build (B join A) from an edge written a.x = b.x.
 
@@ -394,7 +394,7 @@ class TestToggleHygiene:
         queries = [generator.select_query() for _ in range(20)]
         cells = {}
         for optimize_joins in (True, False):
-            for executor in ("row", "vectorized", "parallel"):
+            for executor in ("row", "vectorized"):
                 for cache in (True, False):
                     dialect = create_dialect(
                         "postgresql",

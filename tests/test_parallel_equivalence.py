@@ -1,18 +1,12 @@
-"""Parallel runs must be byte-identical to serial runs.
+"""Sharded campaigns must be byte-identical to serial runs.
 
-Two layers of parallelism, one determinism contract:
-
-* **Campaign level** — :class:`repro.parallel.ShardedCampaign` partitions
-  the round index space across worker processes and merges shard stores +
-  Table V reports.  The merged coverage set, ``unique_plans``, Table V
-  rows, and query/pair counters must equal the serial
-  :class:`~repro.testing.campaign.TestingCampaign`'s exactly — across
-  shard counts, prepared-cache settings, numpy on/off, pool vs in-process
-  fallback, and under worker crash + resume.
-* **Operator level** — ``executor="parallel"``
-  (:class:`~repro.engine.morsel.ParallelExecutor`) fans morsels across
-  exchange workers; the serial vectorized engine is its oracle (see also
-  tests/test_morsel_exchange.py for the exchange machinery itself).
+:class:`repro.parallel.ShardedCampaign` partitions the round index space
+across worker processes and merges shard stores + Table V reports.  The
+merged coverage set, ``unique_plans``, Table V rows, and query/pair
+counters must equal the serial
+:class:`~repro.testing.campaign.TestingCampaign`'s exactly — across shard
+counts, prepared-cache settings, numpy on/off, pool vs in-process
+fallback, and under worker crash + resume.
 
 The full (shards × cache × numpy) matrix and the kill-a-worker case are
 marked ``slow`` — run them with ``--runslow`` — so tier-1 stays fast; the
@@ -166,23 +160,6 @@ class TestShardedEquivalence:
         _assert_identical(merged, again)
 
 
-class TestParallelExecutorCampaign:
-    def test_campaign_with_parallel_executor_identical(self):
-        # The morsel-driven engine drops into the campaign via the same
-        # executor= toggle as row/vectorized; coverage and Table V are
-        # executor-independent.
-        serial = _serial()
-        morsel = _serial(executor="parallel")
-        _assert_identical(serial, morsel)
-
-    def test_sharded_campaign_with_parallel_executor(self):
-        # Both levels of parallelism composed: process-sharded rounds, each
-        # worker running the morsel-driven engine.
-        serial = _serial()
-        merged = ShardedCampaign(**CONFIG, shards=2, executor="parallel").run()
-        _assert_identical(serial, merged)
-
-
 @pytest.mark.slow
 class TestShardedEquivalenceMatrix:
     """The full (shard count × cache × numpy) grid from the determinism
@@ -278,4 +255,5 @@ class TestWorkerCrashResume:
                     "reports",
                     "queries_generated",
                     "cert_pairs_checked",
+                    "bound_queries_checked",
                 }

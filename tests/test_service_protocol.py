@@ -161,7 +161,7 @@ class TestServiceSurface:
         assert rows == [{"a": 42}]
         session.close()
 
-    def test_estimate_matches_local_planner(self, client):
+    def test_estimate_matches_local_planner(self):
         from repro.dialects import create_dialect
         from repro.sqlparser.parser import parse_one
 
@@ -176,13 +176,23 @@ class TestServiceSurface:
             direct.execute(statement)
         direct.analyze_tables()
         local = max(direct.planner.plan_statement(parse_one(query)).estimated_rows, 1.0)
+        assert direct.estimated_root_rows(query) == local
 
-        session = client.open_session("postgresql", tenant="proto-estimate")
-        for statement in setup:
-            session.execute(statement)
-        session.analyze_tables()
-        assert session.estimate(query) == local
-        session.close()
+        registry = TenantRegistry()
+        with QueryService(max_workers=1, registry=registry) as running:
+            with ServiceClient(running.address) as client:
+                session = client.open_session("postgresql", tenant="proto-estimate")
+                for statement in setup:
+                    session.execute(statement)
+                session.analyze_tables()
+                plans = registry.catalog("proto-estimate").dialect("postgresql").prepared
+                assert session.estimate(query) == local
+                hits = plans.plan_stats.hits
+                # A repeated text is planned once: the second estimate is a
+                # prepared-cache plan hit with the same answer.
+                assert session.estimate(query) == local
+                assert plans.plan_stats.hits == hits + 1
+                session.close()
 
 
 class TestTenantRegistry:

@@ -14,6 +14,8 @@ fuzz matrix is (row, list-vectorized, numpy-vectorized) × (prepared cache
 on, off); the numpy axis drops out when numpy is not importable.
 """
 
+import re
+
 import pytest
 
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -89,6 +91,30 @@ def _fuzz_dialects(seed, prepared_cache=True):
     return row_dialect, vec_dialects, generator
 
 
+def _compare_analyze(row_dialect, vec_dialect, query):
+    """EXPLAIN ANALYZE runtime row counts must match node for node."""
+    statement = parse_sql(query)[0]
+    row_plan = row_dialect.planner.plan_statement(statement)
+    vec_plan = vec_dialect.planner.plan_statement(statement)
+    row_rows = row_dialect.executor.execute(reset_runtime(row_plan), analyze=True)
+    vec_rows = vec_dialect.executor.execute(reset_runtime(vec_plan), analyze=True)
+    assert row_rows == vec_rows, query
+    row_nodes = list(row_plan.walk())
+    vec_nodes = list(vec_plan.walk())
+    assert len(row_nodes) == len(vec_nodes), query
+    for row_node, vec_node in zip(row_nodes, vec_nodes):
+        assert row_node.kind is vec_node.kind
+        assert row_node.runtime.executed == vec_node.runtime.executed, query
+        assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows, (
+            query,
+            row_node.kind,
+        )
+        assert row_node.runtime.loops == vec_node.runtime.loops, (
+            query,
+            row_node.kind,
+        )
+
+
 class TestGeneratorCorpusFuzz:
     """Every generated query through every engine, states kept in lockstep."""
 
@@ -112,7 +138,7 @@ class TestGeneratorCorpusFuzz:
                 # Identical rows in identical order — or the same rejection.
                 assert _run(vec_dialect, query) == row_result, (label, query)
                 if row_result[0] == "ok" and position % 5 == 0:
-                    self._compare_analyze(row_dialect, vec_dialect, query)
+                    _compare_analyze(row_dialect, vec_dialect, query)
                     self._compare_fingerprints(row_dialect, vec_dialect, hub, query)
             if row_result[0] == "ok":
                 compared += 1
@@ -126,29 +152,6 @@ class TestGeneratorCorpusFuzz:
                     vec_dialect.analyze_tables()
         # The corpus must actually exercise the engine, not only rejects.
         assert compared >= self.QUERIES_PER_SEED // 3
-
-    def _compare_analyze(self, row_dialect, vec_dialect, query):
-        """EXPLAIN ANALYZE runtime row counts must match node for node."""
-        statement = parse_sql(query)[0]
-        row_plan = row_dialect.planner.plan_statement(statement)
-        vec_plan = vec_dialect.planner.plan_statement(statement)
-        row_rows = row_dialect.executor.execute(reset_runtime(row_plan), analyze=True)
-        vec_rows = vec_dialect.executor.execute(reset_runtime(vec_plan), analyze=True)
-        assert row_rows == vec_rows, query
-        row_nodes = list(row_plan.walk())
-        vec_nodes = list(vec_plan.walk())
-        assert len(row_nodes) == len(vec_nodes), query
-        for row_node, vec_node in zip(row_nodes, vec_nodes):
-            assert row_node.kind is vec_node.kind
-            assert row_node.runtime.executed == vec_node.runtime.executed, query
-            assert row_node.runtime.actual_rows == vec_node.runtime.actual_rows, (
-                query,
-                row_node.kind,
-            )
-            assert row_node.runtime.loops == vec_node.runtime.loops, (
-                query,
-                row_node.kind,
-            )
 
     def _compare_fingerprints(self, row_dialect, vec_dialect, hub, query):
         """Serialized plans — and their unified fingerprints — must agree."""
@@ -521,6 +524,70 @@ class TestArrayPathParity:
         )
 
 
+class TestLargeInputParity:
+    """Multi-thousand-row scans, joins and aggregates against the row oracle.
+
+    The corpus fuzz runs on small generated tables; these inputs are large
+    enough for the array snapshots and the batch hash join to do real work,
+    with NULL join keys on both sides of the joins.
+    """
+
+    QUERIES = [
+        "SELECT a, c FROM big WHERE a > 50 AND b IS NOT NULL",
+        "SELECT a, b FROM big WHERE b < 5 OR c > 1500.0",
+        "SELECT big.a, dim.v FROM big JOIN dim ON big.a = dim.k WHERE big.c > 100.0",
+        "SELECT big.a, dim.v FROM big LEFT JOIN dim ON big.b = dim.k "
+        "ORDER BY big.a, dim.v LIMIT 500",
+        "SELECT a, COUNT(*) FROM big WHERE b < 10 GROUP BY a ORDER BY a",
+        "SELECT DISTINCT b FROM big WHERE a BETWEEN 10 AND 60 ORDER BY b",
+        "SELECT dim.k, SUM(big.c) FROM big JOIN dim ON big.b = dim.k "
+        "GROUP BY dim.k ORDER BY dim.k",
+        "SELECT a FROM big WHERE b IN (1, 2, 3) AND c < 200.0 ORDER BY a, c",
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        """The row oracle and one vectorized dialect, both loaded once:
+        every query here is read-only, and a numpy toggle invalidates the
+        cached column snapshots on its own."""
+        dialects = []
+        for kind in ("row", "vectorized"):
+            dialect = create_dialect("postgresql")
+            dialect.set_executor(kind)
+            dialect.execute("CREATE TABLE big (a INT, b INT, c REAL)")
+            dialect.database.insert_rows(
+                "big",
+                [
+                    {
+                        "a": i % 97,
+                        "b": (i * 7) % 13 if i % 11 else None,
+                        "c": float(i) * 0.5,
+                    }
+                    for i in range(4000)
+                ],
+            )
+            dialect.execute("CREATE TABLE dim (k INT, v INT)")
+            dialect.database.insert_rows(
+                "dim", [{"k": i % 1500 if i % 9 else None, "v": i} for i in range(3000)]
+            )
+            dialect.analyze_tables()
+            dialects.append(dialect)
+        return tuple(dialects)
+
+    @pytest.mark.parametrize("mode", _kernel_modes(), ids=lambda mode: mode[0])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_results_identical(self, engines, query, mode):
+        row_dialect, vec_dialect = engines
+        arrays.set_numpy_enabled(mode[1])
+        expected = _run(row_dialect, query)
+        assert expected[0] == "ok" and expected[1], query
+        assert _run(vec_dialect, query) == expected, query
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_analyze_counts_identical(self, engines, query):
+        _compare_analyze(*engines, query)
+
+
 class TestExecutorFactory:
     def test_create_executor_by_name(self):
         dialect = create_dialect("postgresql")
@@ -528,8 +595,25 @@ class TestExecutorFactory:
         assert isinstance(
             create_executor("vectorized", dialect.database), VectorizedExecutor
         )
-        with pytest.raises(ValueError):
-            create_executor("columnar-ish", dialect.database)
+
+    @pytest.mark.parametrize("unknown", ["columnar-ish", "parallel", "morsel", ""])
+    def test_unknown_name_fails_loudly(self, unknown):
+        # Unknown names fail listing what is available: at the factory, at
+        # campaign construction, and on a live dialect, which keeps the
+        # engine it had ("parallel" included: no such engine).
+        dialect = create_dialect("postgresql")
+        listing = re.escape("['row', 'vectorized']")
+        with pytest.raises(ValueError, match=listing):
+            create_executor(unknown, dialect.database)
+        with pytest.raises(ValueError, match=listing):
+            TestingCampaign(executor=unknown)
+        engine = dialect.executor
+        with pytest.raises(ValueError, match=listing):
+            dialect.set_executor(unknown)
+        assert dialect.executor is engine
+        assert dialect.executor_kind == "vectorized"
+        with pytest.raises(ValueError, match=listing):
+            dialect.set_executor(unknown)  # still not a silent no-op
 
     def test_set_executor_switches_and_is_idempotent(self):
         dialect = create_dialect("postgresql")
